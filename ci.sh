@@ -13,7 +13,7 @@ cargo test --workspace -q
 echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-bench \
-    -p carlos-explore -p carlos-serve -p bytes \
+    -p carlos-explore -p carlos-serve -p carlos-apps -p carlos -p bytes \
     -p criterion -p proptest -p parking_lot --all-targets -- -D warnings
 
 echo "==> chaos profile (scripted faults + pinned fingerprints)"

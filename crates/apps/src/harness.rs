@@ -5,7 +5,32 @@ use std::{
     sync::{Arc, Mutex},
 };
 
-use carlos_sim::{Bucket, SimReport};
+use carlos_check::Checker;
+use carlos_core::Runtime;
+use carlos_sim::{Bucket, Cluster, SimReport};
+use carlos_trace::Tracer;
+
+/// Attaches a run config's optional checker and tracer to the cluster's
+/// wire. Call while building the cluster, before [`Cluster::run`].
+pub fn attach(cluster: &mut Cluster, check: &Option<Checker>, trace: &Option<Tracer>) {
+    if let Some(check) = check {
+        check.attach(cluster);
+    }
+    if let Some(trace) = trace {
+        trace.attach(cluster);
+    }
+}
+
+/// Installs a run config's optional checker and tracer on one node's
+/// runtime. Call from the node closure, before the application runs.
+pub fn install(rt: &mut Runtime, check: &Option<Checker>, trace: &Option<Tracer>) {
+    if let Some(check) = check {
+        check.install(rt);
+    }
+    if let Some(trace) = trace {
+        trace.install(rt);
+    }
+}
 
 /// Collects one value per node out of the node closures.
 ///

@@ -37,7 +37,7 @@ use carlos_sync::{
 };
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{self, AppReport, Collector};
 
 const H_LEAF_DONE: u32 = 0x0210;
 const QUEUE_ID: u32 = 1;
@@ -205,12 +205,7 @@ fn layout(cfg: &QsortConfig) -> (Layout, usize, Vec<carlos_lrc::RegionSpec>) {
 fn build_qsort(cfg: &QsortConfig) -> (Cluster, Collector<(bool, bool)>) {
     let checks: Collector<(bool, bool)> = Collector::new();
     let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &cfg.check, &cfg.trace);
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let checks = checks.clone();
@@ -266,12 +261,7 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    harness::install(&mut rt, &cfg.check, &cfg.trace);
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -23,7 +23,7 @@ use carlos_lrc::{LrcConfig, PageOwnership};
 use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
 use carlos_sync::BarrierSpec;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{self, AppReport, Collector};
 
 /// Configuration for one SOR run.
 #[derive(Debug, Clone)]
@@ -159,12 +159,7 @@ fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
 fn build_sor(cfg: &SorConfig) -> (Cluster, Collector<Vec<f64>>) {
     let out: Collector<Vec<f64>> = Collector::new();
     let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &cfg.check, &cfg.trace);
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let out = out.clone();
@@ -243,12 +238,7 @@ fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
         regions: heap.regions(),
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    harness::install(&mut rt, &cfg.check, &cfg.trace);
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id() as usize;

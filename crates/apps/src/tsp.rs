@@ -26,7 +26,7 @@ use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec, QueueSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{self, AppReport, Collector};
 
 /// User handler ids (outside the `carlos-sync` reserved range).
 const H_BOUND_POST: u32 = 0x0200;
@@ -492,12 +492,7 @@ fn build_tsp(cfg: &TspConfig) -> (Cluster, Collector<u32>, Collector<u64>) {
     let best_c: Collector<u32> = Collector::new();
     let exp_c: Collector<u64> = Collector::new();
     let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &cfg.check, &cfg.trace);
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let best_c = best_c.clone();
@@ -571,14 +566,11 @@ fn tsp_node(cfg: &TspConfig, ctx: carlos_sim::NodeCtx) -> (u32, u64) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    harness::install(&mut rt, &cfg.check, &cfg.trace);
     if let Some(check) = &cfg.check {
-        check.install(&mut rt);
         // Reads of the bound are deliberately unsynchronized — a benign
         // single-word race the paper calls safe (§5.1). Tell the oracle.
         check.allow_racy(lay.best, 4);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
     }
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);

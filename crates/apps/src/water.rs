@@ -25,7 +25,7 @@ use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{self, AppReport, Collector};
 
 const H_UPDATE: u32 = 0x0220;
 
@@ -202,12 +202,7 @@ fn build_water(cfg: &WaterConfig) -> (Cluster, Collector<WaterOut>) {
     );
     let out: Collector<WaterOut> = Collector::new();
     let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &cfg.check, &cfg.trace);
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let out = out.clone();
@@ -312,12 +307,7 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    harness::install(&mut rt, &cfg.check, &cfg.trace);
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -3,6 +3,8 @@
 //! size, and the hybrid must use substantially fewer messages.
 
 use carlos_apps::tsp::{run_tsp, Cities, TspConfig, TspVariant};
+use carlos_check::Checker;
+use carlos_trace::Tracer;
 
 #[test]
 fn oracle_agrees_with_greedy_bound_ordering() {
@@ -106,4 +108,31 @@ fn runs_are_deterministic() {
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);
     assert_eq!(a.expansions, b.expansions);
+}
+
+/// A config that sets both the checker and the tracer gives each the view
+/// it gets alone: the checker sees the same deliveries and violations (none)
+/// as a checker-only run, and the tracer's metrics are byte-identical to a
+/// tracer-only run.
+#[test]
+fn checker_and_tracer_watch_one_run() {
+    let run = |check: bool, trace: bool| {
+        let (c, t) = (Checker::new(3), Tracer::new(3));
+        let mut cfg = TspConfig::test(3, TspVariant::Lock);
+        cfg.check = check.then(|| c.clone());
+        cfg.trace = trace.then(|| t.clone());
+        let _ = run_tsp(&cfg);
+        (c, t)
+    };
+    let (check_alone, _) = run(true, false);
+    let (_, trace_alone) = run(false, true);
+    let (check, trace) = run(true, true);
+    check.assert_clean();
+    assert_eq!(check.violations(), check_alone.violations());
+    assert!(
+        !check.deliveries().is_empty(),
+        "checker saw no wire traffic"
+    );
+    assert_eq!(check.deliveries(), check_alone.deliveries());
+    assert_eq!(trace.metrics().to_json(), trace_alone.metrics().to_json());
 }

@@ -25,10 +25,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use carlos_sim::{NodeId, Ns};
-
-/// Transport DATA kind byte (mirrors `carlos_sim::transport`).
-const KIND_DATA: u8 = 0;
+use carlos_sim::{wire_header, Datagram, NodeId, Ns, KIND_DATA};
 
 /// Kind recorded for frames too short to carry a transport header.
 const KIND_RAW: u8 = u8::MAX;
@@ -99,15 +96,6 @@ pub(crate) struct DeliveryLog {
     events: Vec<DeliveryEvent>,
 }
 
-fn header(payload: &[u8]) -> (u8, u32) {
-    if payload.len() >= 5 {
-        let seq = u32::from_le_bytes(payload[1..5].try_into().unwrap_or([0; 4]));
-        (payload[0], seq)
-    } else {
-        (KIND_RAW, 0)
-    }
-}
-
 fn join(into: &mut [u64], from: &[u64]) {
     for (a, b) in into.iter_mut().zip(from) {
         *a = (*a).max(*b);
@@ -123,43 +111,38 @@ impl DeliveryLog {
         }
     }
 
-    /// A frame left `src` toward `dst` (it may still be dropped).
-    pub fn on_sent(&mut self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        let (_, seq) = header(payload);
-        let clock = &mut self.node_clock[src as usize];
-        clock[src as usize] += 1;
+    /// Frame `d` left toward `dst` (it may still be dropped).
+    pub fn on_sent(&mut self, dst: NodeId, d: &Datagram) {
+        let (_, seq) = wire_header(&d.payload).unwrap_or((KIND_RAW, 0));
+        let clock = &mut self.node_clock[d.src as usize];
+        clock[d.src as usize] += 1;
         let snapshot = clock.clone();
-        self.in_flight.entry((src, dst)).or_default().push_back(InFlight {
+        self.in_flight.entry((d.src, dst)).or_default().push_back(InFlight {
             seq,
-            sent_at: at,
+            sent_at: d.sent_at,
             clock: snapshot,
         });
     }
 
-    /// Loss injection dropped the frame sent at `at` (fired immediately
-    /// after its `on_sent`, so it is the newest in-flight entry).
-    pub fn on_dropped(&mut self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        let (_, seq) = header(payload);
-        if let Some(q) = self.in_flight.get_mut(&(src, dst)) {
+    /// Loss injection dropped frame `d` (fired immediately after its
+    /// `on_sent`, so it is the newest in-flight entry).
+    pub fn on_dropped(&mut self, dst: NodeId, d: &Datagram) {
+        let (_, seq) = wire_header(&d.payload).unwrap_or((KIND_RAW, 0));
+        if let Some(q) = self.in_flight.get_mut(&(d.src, dst)) {
             if let Some(pos) = q
                 .iter()
-                .rposition(|f| f.sent_at == at && f.seq == seq)
+                .rposition(|f| f.sent_at == d.sent_at && f.seq == seq)
             {
                 q.remove(pos);
             }
         }
     }
 
-    /// A frame reached `dst`'s mailbox: join clocks and record the event.
-    pub fn on_delivered(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &[u8],
-    ) {
-        let (kind, seq) = header(payload);
+    /// Frame `d` reached `dst`'s mailbox at `delivered_at`: join clocks and
+    /// record the event.
+    pub fn on_delivered(&mut self, dst: NodeId, d: &Datagram, delivered_at: Ns) {
+        let (src, sent_at) = (d.src, d.sent_at);
+        let (kind, seq) = wire_header(&d.payload).unwrap_or((KIND_RAW, 0));
         // Deliveries are FIFO per pair except under seeded reordering, so
         // match by identity rather than assuming the queue front.
         let sent = self.in_flight.get_mut(&(src, dst)).and_then(|q| {
@@ -197,19 +180,24 @@ impl DeliveryLog {
 mod tests {
     use super::*;
 
-    fn data(seq: u32) -> Vec<u8> {
+    /// A DATA frame from `src` with sequence number `seq`, sent at `at`.
+    fn data(src: NodeId, at: Ns, seq: u32) -> Datagram {
         let mut p = vec![0u8; 16];
         p[1..5].copy_from_slice(&seq.to_le_bytes());
-        p
+        Datagram {
+            src,
+            payload: p.into(),
+            sent_at: at,
+        }
     }
 
     #[test]
     fn independent_sends_race_at_common_destination() {
         let mut log = DeliveryLog::new(3);
-        log.on_sent(0, 2, 10, &data(0));
-        log.on_sent(1, 2, 11, &data(0));
-        log.on_delivered(0, 2, 10, 20, &data(0));
-        log.on_delivered(1, 2, 11, 25, &data(0));
+        log.on_sent(2, &data(0, 10, 0));
+        log.on_sent(2, &data(1, 11, 0));
+        log.on_delivered(2, &data(0, 10, 0), 20);
+        log.on_delivered(2, &data(1, 11, 0), 25);
         let ev = log.events();
         assert_eq!(ev.len(), 2);
         // Node 1's send never saw node 0's delivery: the pair races.
@@ -221,12 +209,12 @@ mod tests {
         let mut log = DeliveryLog::new(3);
         // 0 -> 2 delivered, then 2 -> 1, then 1 -> 2: the second delivery
         // at node 2 causally follows the first.
-        log.on_sent(0, 2, 10, &data(0));
-        log.on_delivered(0, 2, 10, 20, &data(0));
-        log.on_sent(2, 1, 21, &data(0));
-        log.on_delivered(2, 1, 21, 30, &data(0));
-        log.on_sent(1, 2, 31, &data(0));
-        log.on_delivered(1, 2, 31, 40, &data(0));
+        log.on_sent(2, &data(0, 10, 0));
+        log.on_delivered(2, &data(0, 10, 0), 20);
+        log.on_sent(1, &data(2, 21, 0));
+        log.on_delivered(1, &data(2, 21, 0), 30);
+        log.on_sent(2, &data(1, 31, 0));
+        log.on_delivered(2, &data(1, 31, 0), 40);
         let ev = log.events();
         assert_eq!(ev.len(), 3);
         assert!(!ev[0].flip_unordered(&ev[2]), "chained deliveries must not race");
@@ -235,10 +223,10 @@ mod tests {
     #[test]
     fn same_source_deliveries_do_not_race() {
         let mut log = DeliveryLog::new(2);
-        log.on_sent(0, 1, 10, &data(0));
-        log.on_sent(0, 1, 12, &data(1));
-        log.on_delivered(0, 1, 10, 20, &data(0));
-        log.on_delivered(0, 1, 12, 22, &data(1));
+        log.on_sent(1, &data(0, 10, 0));
+        log.on_sent(1, &data(0, 12, 1));
+        log.on_delivered(1, &data(0, 10, 0), 20);
+        log.on_delivered(1, &data(0, 12, 1), 22);
         let ev = log.events();
         assert!(!ev[0].flip_unordered(&ev[1]), "per-pair FIFO is not a race");
     }
@@ -246,10 +234,10 @@ mod tests {
     #[test]
     fn dropped_frames_leave_no_event() {
         let mut log = DeliveryLog::new(2);
-        log.on_sent(0, 1, 10, &data(0));
-        log.on_dropped(0, 1, 10, &data(0));
-        log.on_sent(0, 1, 12, &data(1));
-        log.on_delivered(0, 1, 12, 22, &data(1));
+        log.on_sent(1, &data(0, 10, 0));
+        log.on_dropped(1, &data(0, 10, 0));
+        log.on_sent(1, &data(0, 12, 1));
+        log.on_delivered(1, &data(0, 12, 1), 22);
         assert_eq!(log.events().len(), 1);
         assert_eq!(log.events()[0].seq, 1);
     }

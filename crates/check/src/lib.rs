@@ -43,10 +43,9 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::Bytes;
-use carlos_core::Runtime;
-use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
-use carlos_sim::{Cluster, NodeId, Ns, WireObserver};
+use carlos_core::{CoreEvent, Runtime};
+use carlos_lrc::EngineEvent;
+use carlos_sim::{Cluster, Observer, TransportEvent, WireEvent};
 use parking_lot::Mutex;
 
 use delivery::DeliveryLog;
@@ -177,17 +176,17 @@ impl Checker {
         self
     }
 
-    /// Install the engine observer and core probe on one node's runtime.
-    /// Call from the node closure, before the application touches shared
-    /// memory.
+    /// Add the checker to one node's runtime observers (engine and core
+    /// events). Call from the node closure, before the application touches
+    /// shared memory.
     pub fn install(&self, rt: &mut Runtime) {
-        rt.set_engine_observer(Arc::new(self.clone()));
-        rt.set_probe(Arc::new(self.clone()));
+        rt.observe(Arc::new(self.clone()));
     }
 
-    /// Attach the wire observer to the cluster (FIFO delivery checks).
+    /// Add the checker to the cluster's wire observers (FIFO delivery
+    /// checks and the delivery log).
     pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Arc::new(self.clone()));
+        cluster.observe(Arc::new(self.clone()));
     }
 
     /// Exempt `[addr, addr + len)` from read-side checks. Use for words an
@@ -234,103 +233,85 @@ impl Checker {
         );
     }
 
-    /// Record `found` and, in fail-fast mode, abort `node` on the first
-    /// fresh violation. Only safe from a node's own execution context.
-    fn sink(&self, node: u32, found: Vec<(String, Violation)>) {
-        if found.is_empty() {
-            return;
-        }
-        let msg = self.inner.lock().record(found);
-        if let Some(m) = msg {
+    /// Run one oracle `step` under the state lock and record what it
+    /// finds; in fail-fast mode, abort `node` on the first fresh violation.
+    /// Only safe from a node's own execution context.
+    fn check(&self, node: u32, step: impl FnOnce(&mut State) -> Vec<(String, Violation)>) {
+        let first = {
+            let mut st = self.inner.lock();
+            let found = step(&mut st);
+            st.record(found)
+        };
+        if let Some(m) = first {
             carlos_sim::abort(node, m);
         }
     }
+}
 
-    /// Record `found` without ever escalating (wire-delivery path: the
-    /// caller holds the kernel lock and is not a node).
-    fn sink_passive(&self, found: Vec<(String, Violation)>) {
-        if found.is_empty() {
-            return;
+impl Observer<EngineEvent<'_>> for Checker {
+    fn observe(&self, e: &EngineEvent<'_>) {
+        match *e {
+            EngineEvent::MemRead {
+                node,
+                addr,
+                data,
+                vt,
+            } => self.check(node, |st| st.oracle.on_read(node, addr, data, vt)),
+            EngineEvent::MemWrite {
+                node,
+                addr,
+                data,
+                vt,
+            } => self.check(node, |st| {
+                st.oracle.on_write(node, addr, data, vt, &st.hb.node_vt)
+            }),
+            EngineEvent::IntervalClosed { node, rec } => {
+                self.check(node, |st| st.hb.on_interval_closed(node, rec));
+            }
+            EngineEvent::RecordApplied { node, rec } => {
+                self.check(node, |st| st.hb.on_record_applied(node, rec));
+            }
+            EngineEvent::PageInstalled => {}
         }
-        let _ = self.inner.lock().record(found);
     }
 }
 
-impl EngineObserver for Checker {
-    fn mem_read(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
-        let found = {
-            let mut guard = self.inner.lock();
-            let st = &mut *guard;
-            st.oracle.on_read(node, addr, data, vt)
-        };
-        self.sink(node, found);
-    }
-
-    fn mem_write(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
-        let found = {
-            let mut guard = self.inner.lock();
-            let st = &mut *guard;
-            st.oracle.on_write(node, addr, data, vt, &st.hb.node_vt)
-        };
-        self.sink(node, found);
-    }
-
-    fn interval_closed(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.lock().hb.on_interval_closed(node, rec);
-        self.sink(node, found);
-    }
-
-    fn record_applied(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.lock().hb.on_record_applied(node, rec);
-        self.sink(node, found);
+impl Observer<CoreEvent<'_>> for Checker {
+    fn observe(&self, e: &CoreEvent<'_>) {
+        match *e {
+            CoreEvent::ReleaseSent { node, required } => {
+                self.check(node, |st| st.hb.on_release_sent(node, required));
+            }
+            CoreEvent::ReleaseAccepted {
+                node,
+                required,
+                complete,
+            } => self.check(node, |st| {
+                st.hb.on_release_accepted(node, required, complete)
+            }),
+            _ => {}
+        }
     }
 }
 
-impl carlos_core::CoreProbe for Checker {
-    fn release_sent(&self, node: NodeId, _dst: NodeId, required: &Vc) {
-        let found = self.inner.lock().hb.on_release_sent(node, required);
-        self.sink(node, found);
-    }
-
-    fn release_accepted(&self, node: NodeId, _origin: NodeId, required: &Vc, complete: bool) {
-        let found = self
-            .inner
-            .lock()
-            .hb
-            .on_release_accepted(node, required, complete);
-        self.sink(node, found);
-    }
+/// The checker reads the wire, not the transport.
+impl Observer<TransportEvent> for Checker {
+    fn observe(&self, _: &TransportEvent) {}
 }
 
-impl WireObserver for Checker {
-    fn frame_delivered(&self, src: NodeId, dst: NodeId, sent_at: Ns, delivered_at: Ns, _bytes: usize) {
-        let found = self
-            .inner
-            .lock()
-            .hb
-            .on_frame(src, dst, sent_at, delivered_at);
-        self.sink_passive(found);
-    }
-
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        self.inner.lock().deliveries.on_sent(src, dst, at, payload);
-    }
-
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        self.inner.lock().deliveries.on_dropped(src, dst, at, payload);
-    }
-
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &Bytes,
-    ) {
-        self.inner
-            .lock()
-            .deliveries
-            .on_delivered(src, dst, sent_at, delivered_at, payload);
+/// The wire-delivery path records violations but never escalates: it runs
+/// under the kernel lock, outside any node.
+impl Observer<WireEvent<'_>> for Checker {
+    fn observe(&self, e: &WireEvent<'_>) {
+        let mut st = self.inner.lock();
+        match *e {
+            WireEvent::Sent { dst, dgram } => st.deliveries.on_sent(dst, dgram),
+            WireEvent::Dropped { dst, dgram } => st.deliveries.on_dropped(dst, dgram),
+            WireEvent::Delivered { dst, dgram, at } => {
+                let found = st.hb.on_frame(dgram.src, dst, dgram.sent_at, at);
+                let _ = st.record(found);
+                st.deliveries.on_delivered(dst, dgram, at);
+            }
+        }
     }
 }

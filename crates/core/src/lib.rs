@@ -54,5 +54,5 @@ pub use config::SeededBug;
 pub use heap::CoherentHeap;
 pub use message::{AcceptedMsg, Consistency, Message};
 pub use multithread::{SharedRuntime, ThreadEvent, Worker};
-pub use probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass};
+pub use probe::{CoreEvent, CostPhase, FetchKind, GranuleClass, MsgClass};
 pub use runtime::{Env, Runtime};

@@ -1,10 +1,13 @@
-//! Passive runtime observation hooks for external consistency checkers.
+//! The runtime's observable protocol events, as one typed event.
 //!
-//! A [`CoreProbe`] sees the runtime's release/acquire protocol events —
-//! releases sent, releases accepted (complete or pending on repair), and
-//! repair requests — without influencing them. Like the engine-level
-//! [`carlos_lrc::EngineObserver`], probing is off by default and charges no
-//! simulated time, so probed runs are bit-identical to unprobed ones.
+//! A [`CoreEvent`] reports the runtime's release/acquire protocol
+//! transitions — releases sent, releases accepted (complete or pending on
+//! repair), repair requests, message sends and dispatches, protocol-cost
+//! charges, demand fetches and sync waits — to the runtime's
+//! [`carlos_sim::Observers`] list, without influencing them. Like the
+//! engine-level [`carlos_lrc::EngineEvent`], the list is empty by default
+//! and observation charges no simulated time, so observed runs are
+//! bit-identical to unobserved ones.
 
 use carlos_lrc::Vc;
 use carlos_sim::{NodeId, Ns};
@@ -142,98 +145,134 @@ impl GranuleClass {
     }
 }
 
-/// Receiver of runtime protocol notifications.
-///
-/// All methods default to no-ops. Implementations run synchronously on the
-/// observed node's proc thread; they may record state (and may panic or
-/// abort to escalate a violation) but must not call back into the runtime.
-pub trait CoreProbe: Send + Sync {
-    /// `node` sent a RELEASE (or RELEASE_NT) to `dst` whose required
-    /// timestamp is `required` (the sender's timestamp after closing the
-    /// release interval).
-    fn release_sent(&self, node: NodeId, dst: NodeId, required: &Vc) {
-        let _ = (node, dst, required);
-    }
-
-    /// `node` ran the acquire side for a RELEASE originated by `origin`.
-    /// `complete` is false when the carried records left a causal gap and
-    /// the accept is parked pending repair.
-    fn release_accepted(&self, node: NodeId, origin: NodeId, required: &Vc, complete: bool) {
-        let _ = (node, origin, required, complete);
-    }
-
-    /// `node` asked `origin` for the interval records between its own
-    /// timestamp `have` and the unmet `want` (the SYS_IVAL_REQ repair).
-    fn repair_requested(&self, node: NodeId, origin: NodeId, have: &Vc, want: &Vc) {
-        let _ = (node, origin, have, want);
-    }
-
+/// A runtime protocol event, emitted synchronously on the observed node's
+/// proc. Sinks may record state (and may panic or abort to escalate a
+/// violation) but must not call back into the runtime.
+#[derive(Debug, Clone, Copy)]
+pub enum CoreEvent<'a> {
+    /// `node` sent a RELEASE (or RELEASE_NT) whose required timestamp is
+    /// `required` (the sender's timestamp after closing the release
+    /// interval).
+    ReleaseSent {
+        /// Releasing node.
+        node: NodeId,
+        /// The release's required timestamp.
+        required: &'a Vc,
+    },
+    /// `node` ran the acquire side for a RELEASE. `complete` is false when
+    /// the carried records left a causal gap and the accept is parked
+    /// pending repair.
+    ReleaseAccepted {
+        /// Acquiring node.
+        node: NodeId,
+        /// The release's required timestamp.
+        required: &'a Vc,
+        /// Whether acceptance completed.
+        complete: bool,
+    },
+    /// A node asked a release's originator for the interval records it
+    /// lacks (the SYS_IVAL_REQ repair).
+    RepairRequested,
     /// `node` is handing a message of `class` for handler `handler` to its
     /// transport toward `dst`. Fires immediately before the transport-level
     /// send, so a trace layer can pair it with the next
-    /// [`carlos_sim::TransportObserver::data_sent`] on the same (node, dst)
-    /// pair.
-    fn msg_sent(&self, node: NodeId, dst: NodeId, class: MsgClass, handler: u32, at: Ns) {
-        let _ = (node, dst, class, handler, at);
-    }
-
+    /// [`carlos_sim::TransportEvent::Sent`] on the same (node, dst) pair.
+    MsgSent {
+        /// Sending node.
+        node: NodeId,
+        /// Destination node.
+        dst: NodeId,
+        /// Message class.
+        class: MsgClass,
+        /// Destination handler id.
+        handler: u32,
+        /// Virtual time.
+        at: Ns,
+    },
     /// `node` decoded an in-order message from `src` and is about to run
     /// its consistency processing and handler. Pairs with the preceding
-    /// [`carlos_sim::TransportObserver::data_delivered`] on (node, src).
-    fn msg_dispatched(
-        &self,
+    /// [`carlos_sim::TransportEvent::Delivered`] on (node, src).
+    MsgDispatched {
+        /// Receiving node.
         node: NodeId,
+        /// Sending node.
         src: NodeId,
+        /// Message class.
         class: MsgClass,
+        /// Handler id.
         handler: u32,
+        /// Encoded message length.
         bytes: usize,
+        /// Virtual time.
         at: Ns,
-    ) {
-        let _ = (node, src, class, handler, bytes, at);
-    }
-
+    },
     /// `node` charged `ns` of virtual time to protocol work of `phase` on
     /// behalf of a message of `class`. The charge begins at `at`. Summing
     /// these per (class, phase) reproduces the paper's §5.4 microcost
     /// table.
-    fn protocol_cost(&self, node: NodeId, class: MsgClass, phase: CostPhase, ns: Ns, at: Ns) {
-        let _ = (node, class, phase, ns, at);
-    }
-
+    ProtocolCost {
+        /// Charged node.
+        node: NodeId,
+        /// Message class the work serves.
+        class: MsgClass,
+        /// Protocol phase.
+        phase: CostPhase,
+        /// Charged virtual time.
+        ns: Ns,
+        /// Start of the charge.
+        at: Ns,
+    },
     /// `node` issued a demand fetch for `page` to `server` (a page fault
-    /// needing diffs or a full copy). Ends at the matching
-    /// [`CoreProbe::fetch_finished`].
-    fn fetch_started(&self, node: NodeId, server: NodeId, page: u32, kind: FetchKind, at: Ns) {
-        let _ = (node, server, page, kind, at);
-    }
-
+    /// needing diffs or a full copy). Ends at the matching `FetchFinished`.
+    FetchStarted {
+        /// Faulting node.
+        node: NodeId,
+        /// Serving node.
+        server: NodeId,
+        /// Fetched granule.
+        page: u32,
+        /// Diffs or a full copy.
+        kind: FetchKind,
+        /// Virtual time.
+        at: Ns,
+    },
     /// The reply for `node`'s outstanding fetch of `page` from `server`
     /// arrived and was applied.
-    fn fetch_finished(&self, node: NodeId, server: NodeId, page: u32, at: Ns) {
-        let _ = (node, server, page, at);
-    }
-
+    FetchFinished {
+        /// Faulting node.
+        node: NodeId,
+        /// Serving node.
+        server: NodeId,
+        /// Fetched granule.
+        page: u32,
+        /// Virtual time.
+        at: Ns,
+    },
     /// A fetch reply delivered `bytes` of payload (diff bytes or a full
-    /// granule copy) for `page`, a granule of size class `class`. Fires
+    /// granule copy) for a granule of size class `class`. Fires
     /// once per fulfilled demand — including each sub-reply of a coalesced
     /// batch — so summing per class reproduces the per-granule-class
     /// traffic columns of the report tables.
-    fn fetch_fulfilled(
-        &self,
-        node: NodeId,
-        server: NodeId,
-        page: u32,
+    FetchFulfilled {
+        /// The granule's size class.
         class: GranuleClass,
+        /// Payload bytes delivered.
         bytes: usize,
-        at: Ns,
-    ) {
-        let _ = (node, server, page, class, bytes, at);
-    }
-
+    },
     /// `node` entered (`begin` true) or left (`begin` false) a blocking
     /// synchronization wait: `what` names the operation ("lock",
-    /// "barrier", ...) and `id` the object. Emitted by the sync layer.
-    fn sync_wait(&self, node: NodeId, what: &'static str, id: u32, begin: bool, at: Ns) {
-        let _ = (node, what, id, begin, at);
-    }
+    /// "barrier", ...) and `id` the object. Emitted by the sync layer
+    /// through [`crate::Runtime::sync_wait`].
+    SyncWait {
+        /// Waiting node.
+        node: NodeId,
+        /// The operation.
+        what: &'static str,
+        /// The object id.
+        id: u32,
+        /// Entering (true) or leaving (false) the wait.
+        begin: bool,
+        /// Virtual time.
+        at: Ns,
+    },
 }

@@ -13,13 +13,16 @@
 //! memory through [`Runtime::read_bytes`] / [`Runtime::write_bytes`] and
 //! the typed helpers.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::{
+    collections::{BTreeMap, BTreeSet, HashMap, VecDeque},
+    sync::Arc,
+};
 
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, EngineEvent, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_sim::{
     time::Ns,
     transport::{AckMode, ArqTuning, Transport},
-    Bucket, NodeCtx, NodeId,
+    Bucket, NodeCtx, NodeId, Observer, Observers, TransportEvent,
 };
 use carlos_util::codec::{Decoder, Encoder, Wire};
 
@@ -27,7 +30,7 @@ use crate::{
     annotation::Annotation,
     config::CoreConfig,
     message::{AcceptedMsg, Consistency, Message},
-    probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass},
+    probe::{CoreEvent, CostPhase, FetchKind, GranuleClass, MsgClass},
 };
 
 /// First handler id reserved for the system protocol; user handlers must
@@ -136,9 +139,9 @@ struct Core {
     /// `(page, node)` pairs whose page-instead-of-diffs substitution was
     /// rejected as stale; retries demand plain diffs to guarantee progress.
     force_diffs: BTreeSet<(u32, NodeId)>,
-    /// Passive protocol-event probe (checker instrumentation); `None` by
+    /// Passive sinks of [`CoreEvent`]s (checker, tracer); empty by
     /// default, and never charged for.
-    probe: Option<std::sync::Arc<dyn CoreProbe>>,
+    observers: Observers<dyn for<'a> Observer<CoreEvent<'a>>>,
 }
 
 impl Core {
@@ -152,16 +155,20 @@ impl Core {
         }
     }
 
-    /// Reports a protocol-work charge to the probe before it lands, so the
-    /// probe's `at` marks the start of the charged work. Free when no probe
-    /// is installed or nothing is charged.
+    /// Reports a protocol-work charge to the observers before it lands, so
+    /// the event's `at` marks the start of the charged work. Free when no
+    /// observer is installed or nothing is charged.
     fn probe_cost(&self, class: MsgClass, phase: CostPhase, ns: Ns) {
         if ns == 0 {
             return;
         }
-        if let Some(p) = &self.probe {
-            p.protocol_cost(self.node(), class, phase, ns, self.ctx.now());
-        }
+        self.observers.emit(|| CoreEvent::ProtocolCost {
+            node: self.node(),
+            class,
+            phase,
+            ns,
+            at: self.ctx.now(),
+        });
     }
 
     /// Encodes and transmits `msg` to `dst`, charging send-side costs.
@@ -190,9 +197,13 @@ impl Core {
             Annotation::Release => self.ctx.count("carlos.sent.release", 1),
             Annotation::ReleaseNt => self.ctx.count("carlos.sent.release_nt", 1),
         }
-        if let Some(p) = &self.probe {
-            p.msg_sent(self.node(), dst, class, msg.handler, self.ctx.now());
-        }
+        self.observers.emit(|| CoreEvent::MsgSent {
+            node: self.node(),
+            dst,
+            class,
+            handler: msg.handler,
+            at: self.ctx.now(),
+        });
         let pad = self.cfg.wire_header_pad;
         #[cfg(any(test, feature = "seeded-bugs"))]
         if self.cfg.seeded_bug == Some(crate::config::SeededBug::DropNoticeClock)
@@ -227,9 +238,10 @@ impl Core {
                 // Sending a RELEASE is a release event: close the interval.
                 self.engine.close_interval();
                 let required = self.engine.vt().clone();
-                if let Some(p) = &self.probe {
-                    p.release_sent(node, dst, &required);
-                }
+                self.observers.emit(|| CoreEvent::ReleaseSent {
+                    node,
+                    required: &required,
+                });
                 let have = &self.known[dst as usize];
                 let records = if annotation == Annotation::Release {
                     self.engine.records_newer_than(have)
@@ -303,9 +315,13 @@ impl Core {
             consistency: Consistency::None,
         };
         self.ctx.count("carlos.sent.system", 1);
-        if let Some(p) = &self.probe {
-            p.msg_sent(node, dst, MsgClass::System, handler, self.ctx.now());
-        }
+        self.observers.emit(|| CoreEvent::MsgSent {
+            node,
+            dst,
+            class: MsgClass::System,
+            handler,
+            at: self.ctx.now(),
+        });
         let pad = self.cfg.wire_header_pad;
         self.transport.send(dst, msg.to_framed(pad));
     }
@@ -342,9 +358,11 @@ impl Core {
                 // missing, and diffs must not apply against a notice set
                 // that is not transitively closed.
                 let complete = self.engine.vt().dominates(required);
-                if let Some(p) = &self.probe {
-                    p.release_accepted(self.ctx.node_id(), origin, required, complete);
-                }
+                self.observers.emit(|| CoreEvent::ReleaseAccepted {
+                    node: self.ctx.node_id(),
+                    required,
+                    complete,
+                });
                 if !diffs.is_empty() {
                     // Update strategy: the carried diffs revalidate pages
                     // whose coverage they complete. They go through the
@@ -400,9 +418,7 @@ impl Core {
                     // Inadequate consistency information (forwarded or
                     // non-transitive message): ask the original sender.
                     self.ctx.count("carlos.repair_requests", 1);
-                    if let Some(p) = &self.probe {
-                        p.repair_requested(self.ctx.node_id(), origin, self.engine.vt(), required);
-                    }
+                    self.observers.emit(|| CoreEvent::RepairRequested);
                     let mut body = Encoder::new();
                     self.engine.vt().encode(&mut body);
                     required.encode(&mut body);
@@ -687,20 +703,23 @@ impl Core {
     }
 
     /// Removes the `(page, src)` inflight key and reports fetch completion
-    /// (with the granule's size class) to the probe.
+    /// (with the granule's size class) to the observers.
     fn fetch_done(&mut self, src: NodeId, page: u32, bytes: usize) {
         if self.inflight.remove(&(page, src)) {
-            if let Some(p) = &self.probe {
-                p.fetch_finished(self.node(), src, page, self.ctx.now());
-            }
+            self.observers.emit(|| CoreEvent::FetchFinished {
+                node: self.node(),
+                server: src,
+                page,
+                at: self.ctx.now(),
+            });
         }
-        if let Some(p) = &self.probe {
-            let class = GranuleClass::of(
+        self.observers.emit(|| CoreEvent::FetchFulfilled {
+            class: GranuleClass::of(
                 self.engine.granule_len(page),
                 self.engine.config().page_size,
-            );
-            p.fetch_fulfilled(self.node(), src, page, class, bytes, self.ctx.now());
-        }
+            ),
+            bytes,
+        });
     }
 
     /// Applies the diffs buffered for `page` once (a) no request for the
@@ -784,14 +803,7 @@ impl Core {
                     p.required,
                     self.engine.vt()
                 );
-                if let Some(probe) = &self.probe {
-                    probe.repair_requested(
-                        self.ctx.node_id(),
-                        p.msg.origin,
-                        self.engine.vt(),
-                        &p.required,
-                    );
-                }
+                self.observers.emit(|| CoreEvent::RepairRequested);
                 let mut body = Encoder::new();
                 self.engine.vt().encode(&mut body);
                 p.required.encode(&mut body);
@@ -1039,37 +1051,39 @@ impl Runtime {
                 inflight: BTreeSet::new(),
                 pending_diffs: BTreeMap::new(),
                 force_diffs: BTreeSet::new(),
-                probe: None,
+                observers: Observers::default(),
             },
             handlers: HashMap::new(),
         }
     }
 
-    /// Installs a passive [`CoreProbe`] notified of release/acquire/repair
-    /// protocol events. Probing never alters runtime behavior.
-    pub fn set_probe(&mut self, probe: std::sync::Arc<dyn CoreProbe>) {
-        self.core.probe = Some(probe);
+    /// Adds `sink` to the observers of this node's runtime: its
+    /// [`CoreEvent`]s, its LRC engine's [`carlos_lrc::EngineEvent`]s and
+    /// its transport's [`carlos_sim::TransportEvent`]s. Observation never
+    /// alters runtime behavior.
+    pub fn observe<S>(&mut self, sink: Arc<S>)
+    where
+        S: for<'a> Observer<CoreEvent<'a>>
+            + for<'a> Observer<EngineEvent<'a>>
+            + Observer<TransportEvent>
+            + 'static,
+    {
+        self.core.observers.add(sink.clone());
+        self.core.engine.observe(sink.clone());
+        self.core.transport.observe(sink);
     }
 
-    /// Installs a passive [`carlos_lrc::EngineObserver`] on the underlying
-    /// LRC engine (memory accesses, interval closes, record application).
-    pub fn set_engine_observer(&mut self, obs: std::sync::Arc<dyn carlos_lrc::EngineObserver>) {
-        self.core.engine.set_observer(obs);
-    }
-
-    /// Installs a passive [`carlos_sim::TransportObserver`] on the
-    /// underlying transport endpoint (per-frame send/deliver/retransmit
-    /// events, used by trace layers to build causal flows).
-    pub fn set_transport_observer(&mut self, obs: std::sync::Arc<dyn carlos_sim::TransportObserver>) {
-        self.core.transport.set_observer(obs);
-    }
-
-    /// The installed [`CoreProbe`], if any. Layers above the runtime (the
-    /// sync library) clone this handle to report their own events — e.g.
-    /// [`CoreProbe::sync_wait`] spans — through the same probe.
-    #[must_use]
-    pub fn probe(&self) -> Option<std::sync::Arc<dyn CoreProbe>> {
-        self.core.probe.clone()
+    /// Reports that this node entered (`begin`) or left a blocking
+    /// synchronization wait `what` on object `id` — the sync layer's
+    /// [`CoreEvent::SyncWait`] spans.
+    pub fn sync_wait(&self, what: &'static str, id: u32, begin: bool) {
+        self.core.observers.emit(|| CoreEvent::SyncWait {
+            node: self.core.node(),
+            what,
+            id,
+            begin,
+            at: self.core.ctx.now(),
+        });
     }
 
     /// This node's id.
@@ -1172,21 +1186,18 @@ impl Runtime {
                 return;
             }
         };
-        if let Some(p) = &self.core.probe {
-            let class = if msg.handler >= SYS_HANDLER_BASE {
+        self.core.observers.emit(|| CoreEvent::MsgDispatched {
+            node: self.core.node(),
+            src,
+            class: if msg.handler >= SYS_HANDLER_BASE {
                 MsgClass::System
             } else {
                 MsgClass::of(msg.annotation)
-            };
-            p.msg_dispatched(
-                self.core.node(),
-                src,
-                class,
-                msg.handler,
-                bytes.len(),
-                self.core.ctx.now(),
-            );
-        }
+            },
+            handler: msg.handler,
+            bytes: bytes.len(),
+            at: self.core.ctx.now(),
+        });
         if msg.handler >= SYS_HANDLER_BASE {
             self.core.handle_sys(msg);
             self.eager_fetch_invalidated();
@@ -1457,15 +1468,13 @@ impl Runtime {
                     waiting.push((page, to));
                     if self.core.inflight.insert((page, to)) {
                         self.core.ctx.count("carlos.diff_requests", 1);
-                        if let Some(p) = &self.core.probe {
-                            p.fetch_started(
-                                self.core.node(),
-                                to,
-                                page,
-                                FetchKind::Diffs,
-                                self.core.ctx.now(),
-                            );
-                        }
+                        self.core.observers.emit(|| CoreEvent::FetchStarted {
+                            node: self.core.node(),
+                            server: to,
+                            page,
+                            kind: FetchKind::Diffs,
+                            at: self.core.ctx.now(),
+                        });
                         let force = self.core.force_diffs.contains(&(page, to));
                         if coalesce {
                             fresh.entry(to).or_default().push(BatchEntry {
@@ -1484,15 +1493,13 @@ impl Runtime {
                     waiting.push((page, to));
                     if self.core.inflight.insert((page, to)) {
                         self.core.ctx.count("carlos.page_requests", 1);
-                        if let Some(p) = &self.core.probe {
-                            p.fetch_started(
-                                self.core.node(),
-                                to,
-                                page,
-                                FetchKind::Page,
-                                self.core.ctx.now(),
-                            );
-                        }
+                        self.core.observers.emit(|| CoreEvent::FetchStarted {
+                            node: self.core.node(),
+                            server: to,
+                            page,
+                            kind: FetchKind::Page,
+                            at: self.core.ctx.now(),
+                        });
                         if coalesce {
                             fresh.entry(to).or_default().push(BatchEntry {
                                 kind: 1,

@@ -23,13 +23,18 @@
 //!   in causal order ([`LrcEngine::apply_diff_records`]). A node with no
 //!   copy demands the whole page.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::{
+    collections::{BTreeMap, BTreeSet},
+    sync::Arc,
+};
+
+use carlos_sim::{Observer, Observers};
 
 use crate::{
     config::LrcConfig,
     diff::{sort_causally, Diff, DiffRecord},
     interval::{IntervalRecord, IntervalStore},
-    observer::{EngineObserver, ObserverSlot},
+    observer::EngineEvent,
     page::{PageId, PageMeta, PageState},
     region::GranuleMap,
     vc::Vc,
@@ -104,8 +109,9 @@ pub struct LrcEngine {
     page_shift: Option<u32>,
     /// Reusable run-boundary buffer for [`Diff::create_with_scratch`].
     diff_scratch: Vec<(u32, u32)>,
-    /// Passive checker hooks; empty (one-branch cost) unless installed.
-    observer: ObserverSlot,
+    /// Passive sinks of [`EngineEvent`]s; empty (one-branch cost) unless
+    /// installed.
+    observers: Observers<dyn for<'a> Observer<EngineEvent<'a>>>,
     /// Granules of eager regions invalidated by applied write notices since
     /// the last [`LrcEngine::take_eager_invalid`]; always empty without
     /// eager region hints.
@@ -181,18 +187,18 @@ impl LrcEngine {
             page_shift: granules.uniform_shift(),
             granules,
             diff_scratch: Vec::new(),
-            observer: ObserverSlot::default(),
+            observers: Observers::default(),
             eager_invalid: Vec::new(),
             stats: EngineStats::default(),
             cfg,
         }
     }
 
-    /// Installs a passive [`EngineObserver`] notified of memory accesses,
-    /// interval closes, record application, and page installs. Observation
-    /// never alters engine behavior.
-    pub fn set_observer(&mut self, obs: std::sync::Arc<dyn EngineObserver>) {
-        self.observer.set(obs);
+    /// Adds `sink` to the observers of this engine's [`EngineEvent`]s:
+    /// memory accesses, interval closes, record application, and page
+    /// installs. Observation never alters engine behavior.
+    pub fn observe(&mut self, sink: Arc<dyn for<'a> Observer<EngineEvent<'a>>>) {
+        self.observers.add(sink);
     }
 
     /// The node that pins a copy of `page` and answers full-page requests.
@@ -280,7 +286,12 @@ impl LrcEngine {
                 if matches!(meta.state, PageState::ReadOnly | PageState::ReadWrite) {
                     let off = addr & ((1usize << shift) - 1);
                     buf.copy_from_slice(&meta.data[off..off + buf.len()]);
-                    self.observer.mem_read(self.node, addr, buf, &self.vt);
+                    self.observers.emit(|| EngineEvent::MemRead {
+                        node: self.node,
+                        addr,
+                        data: buf,
+                        vt: &self.vt,
+                    });
                     return Ok(());
                 }
             }
@@ -307,7 +318,12 @@ impl LrcEngine {
             buf[done..done + n].copy_from_slice(&data[off..off + n]);
             done += n;
         }
-        self.observer.mem_read(self.node, addr, buf, &self.vt);
+        self.observers.emit(|| EngineEvent::MemRead {
+            node: self.node,
+            addr,
+            data: buf,
+            vt: &self.vt,
+        });
         Ok(())
     }
 
@@ -362,7 +378,12 @@ impl LrcEngine {
                 if meta.state == PageState::ReadWrite {
                     let off = addr & ((1usize << shift) - 1);
                     meta.data[off..off + data.len()].copy_from_slice(data);
-                    self.observer.mem_write(self.node, addr, data, &self.vt);
+                    self.observers.emit(|| EngineEvent::MemWrite {
+                        node: self.node,
+                        addr,
+                        data,
+                        vt: &self.vt,
+                    });
                     return Ok(());
                 }
             }
@@ -399,7 +420,12 @@ impl LrcEngine {
             dst[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
-        self.observer.mem_write(self.node, addr, data, &self.vt);
+        self.observers.emit(|| EngineEvent::MemWrite {
+            node: self.node,
+            addr,
+            data,
+            vt: &self.vt,
+        });
         Ok(())
     }
 
@@ -492,7 +518,10 @@ impl LrcEngine {
         for &p in &rec.pages {
             self.capture_own_diff(p);
         }
-        self.observer.interval_closed(self.node, &rec);
+        self.observers.emit(|| EngineEvent::IntervalClosed {
+            node: self.node,
+            rec: &rec,
+        });
         Some(rec)
     }
 
@@ -583,7 +612,10 @@ impl LrcEngine {
                 }
             }
         }
-        self.observer.record_applied(self.node, &rec);
+        self.observers.emit(|| EngineEvent::RecordApplied {
+            node: self.node,
+            rec: &rec,
+        });
         self.intervals.insert(rec);
     }
 
@@ -913,8 +945,7 @@ impl LrcEngine {
             PageState::Invalid
         };
         self.stats.pages_installed += 1;
-        self.observer
-            .page_installed(self.node, page, &self.pages[page as usize].applied);
+        self.observers.emit(|| EngineEvent::PageInstalled);
         true
     }
 

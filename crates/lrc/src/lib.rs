@@ -42,7 +42,7 @@ pub use config::{LrcConfig, PageOwnership};
 pub use diff::{Diff, DiffRecord};
 pub use engine::{Demand, LrcEngine};
 pub use interval::IntervalRecord;
-pub use observer::{EngineObserver, ObserverSlot};
+pub use observer::EngineEvent;
 pub use page::{PageId, PageState};
 pub use region::{GranuleMap, RegionSpec};
 pub use vc::Vc;

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use carlos_apps::{AppReport, Collector};
+use carlos_apps::{harness, AppReport, Collector};
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership, RegionSpec};
 use carlos_sim::{
@@ -611,12 +611,7 @@ fn serve_node(cfg: &ServeConfig, ctx: NodeCtx) -> (NodeStats, Option<Vec<u64>>) 
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    harness::install(&mut rt, &cfg.check, &cfg.trace);
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     sys.barrier(&mut rt, barrier, 100);
@@ -650,12 +645,7 @@ fn build_serve(cfg: &ServeConfig) -> (Cluster, Collector<NodeStats>, Collector<V
     let stats_c: Collector<NodeStats> = Collector::new();
     let counters_c: Collector<Vec<u64>> = Collector::new();
     let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &cfg.check, &cfg.trace);
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let stats_c = stats_c.clone();

@@ -13,58 +13,48 @@ use crate::{
     config::SimConfig,
     error::{AbortInfo, BlockedProc, SimError},
     kernel::{EvKind, Kernel, ProcId, ProcState},
+    observe::Observer,
     parallel,
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
 };
 
-/// Passive observer of wire-level deliveries (checker instrumentation).
+/// A wire-level event, fanned out to the cluster's [`crate::Observers`]
+/// list. `dgram` carries the sender, the send time and the bytes.
 ///
-/// The event loop invokes [`WireObserver::frame_delivered`] on the runner
-/// thread, under the kernel lock, at the instant a datagram is appended to
-/// a destination mailbox. Implementations must only record: they must not
-/// call back into the simulator, block on simulated state, or panic —
-/// escalation belongs in node-side hooks. Loopback datagrams (src == dst)
-/// skip the wire and are not reported. Observer calls charge no virtual
-/// time, so observed runs are event-for-event identical to unobserved ones.
-pub trait WireObserver: Send + Sync {
-    /// A datagram from `src` was appended to `dst`'s mailbox.
-    fn frame_delivered(
-        &self,
-        src: NodeId,
+/// Emitted under the kernel lock: `Sent` and `Dropped` from the sender's
+/// context, `Delivered` from the event loop at the instant the datagram is
+/// appended to the destination mailbox. Sinks must only record: they must
+/// not call back into the simulator, block on simulated state, or panic —
+/// escalation belongs in node-side sinks. Loopback datagrams (src == dst)
+/// skip the wire and are not reported.
+#[derive(Debug, Clone, Copy)]
+pub enum WireEvent<'a> {
+    /// `dgram` was handed to the wire toward `dst` (it may still be
+    /// dropped).
+    Sent {
+        /// Destination node.
         dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        bytes: usize,
-    );
-
-    /// A datagram from `src` was handed to the wire toward `dst` at `at`
-    /// (it may still be dropped). Fired from the sender's context, under
-    /// the kernel lock. Default: ignored.
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        let _ = (src, dst, at, payload);
-    }
-
-    /// A datagram from `src` toward `dst` was dropped by loss injection
-    /// (uniform, burst, or partition) at send time. Default: ignored.
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        let _ = (src, dst, at, payload);
-    }
-
-    /// Payload-carrying companion to [`WireObserver::frame_delivered`],
-    /// invoked immediately after it with the same frame. Split out so
-    /// observers that only need sizes (the checker) keep their narrower
-    /// signature. Default: ignored.
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
+        /// The datagram.
+        dgram: &'a Datagram,
+    },
+    /// `dgram` toward `dst` was dropped by loss injection (uniform, burst,
+    /// or partition) at send time.
+    Dropped {
+        /// Destination node.
         dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &Bytes,
-    ) {
-        let _ = (src, dst, sent_at, delivered_at, payload);
-    }
+        /// The datagram.
+        dgram: &'a Datagram,
+    },
+    /// `dgram` was appended to `dst`'s mailbox at `at`.
+    Delivered {
+        /// Receiving node.
+        dst: NodeId,
+        /// The datagram.
+        dgram: &'a Datagram,
+        /// Virtual time of the mailbox append.
+        at: Ns,
+    },
 }
 
 /// A datagram as seen by a receiving node.
@@ -149,11 +139,11 @@ impl Cluster {
         self.threads.push(spawn_proc_thread(ctx, main));
     }
 
-    /// Installs a passive [`WireObserver`] notified at each non-loopback
-    /// mailbox delivery. Install before [`Cluster::run`]; observation adds
-    /// zero virtual-time cost.
-    pub fn set_observer(&mut self, obs: Arc<dyn WireObserver>) {
-        self.shared.kernel.lock().observer = Some(obs);
+    /// Adds `sink` to the observers of every non-loopback [`WireEvent`].
+    /// Install before [`Cluster::run`]; observation adds zero virtual-time
+    /// cost.
+    pub fn observe(&mut self, sink: Arc<dyn for<'a> Observer<WireEvent<'a>>>) {
+        self.shared.kernel.lock().observers.add(sink);
     }
 
     fn register_proc(&self, node: NodeId, start_at: Ns) -> ProcId {
@@ -252,10 +242,10 @@ impl Cluster {
     fn event_loop(&mut self) -> Result<SimReport, RunFailure> {
         let shared = Arc::clone(&self.shared);
         let mut k = shared.kernel.lock();
-        // Decide the run mode once, before any proc executes. Observers
-        // need the serialized single-baton wire view, so their presence
-        // forces serial mode regardless of the config.
-        let parallel = k.config.parallel && k.observer.is_none();
+        // Decide the run mode once, before any proc executes. Wire
+        // observers need the serialized single-baton wire view, so a
+        // non-empty list forces serial mode regardless of the config.
+        let parallel = k.config.parallel && k.observers.is_empty();
         shared.par.publish_mode(parallel, &mut k);
         if parallel {
             return parallel::event_loop(&shared, k);
@@ -331,22 +321,12 @@ impl Cluster {
                     }
                     if dgram.src != dst {
                         k.nodes[dst as usize].net.delivered += 1;
-                        if let Some(obs) = &k.observer {
-                            obs.frame_delivered(
-                                dgram.src,
-                                dst,
-                                dgram.sent_at,
-                                k.now,
-                                dgram.payload.len(),
-                            );
-                            obs.frame_delivered_payload(
-                                dgram.src,
-                                dst,
-                                dgram.sent_at,
-                                k.now,
-                                &dgram.payload,
-                            );
-                        }
+                        let at = k.now;
+                        k.observers.emit(|| WireEvent::Delivered {
+                            dst,
+                            dgram: &dgram,
+                            at,
+                        });
                     }
                     k.nodes[dst as usize].mailbox.push_back(dgram);
                     let now = k.now;
@@ -761,13 +741,12 @@ impl NodeCtx {
         k.nodes[self.node as usize]
             .counters
             .add("net.sent_bytes", dgram.payload.len() as u64);
-        if let Some(obs) = &k.observer {
-            obs.frame_sent(self.node, dst, now, &dgram.payload);
-        }
+        k.observers.emit(|| WireEvent::Sent { dst, dgram: &dgram });
         if let Some(deliver_at) = k.wire_transmit_frame(self.node, dst, &dgram.payload, now) {
             k.push_event(deliver_at, EvKind::Deliver { dst, dgram });
-        } else if let Some(obs) = &k.observer {
-            obs.frame_dropped(self.node, dst, now, &dgram.payload);
+        } else {
+            k.observers
+                .emit(|| WireEvent::Dropped { dst, dgram: &dgram });
         }
     }
 

@@ -56,8 +56,9 @@ pub struct SimConfig {
     /// operation logs keeps every kernel transition — event order, wire
     /// serialization, RNG draws, statistics — bit-identical to the
     /// single-baton runner. Off by default. Automatically falls back to
-    /// serial whenever a [`crate::WireObserver`] (checker, tracer) is
-    /// attached, since observers require a single serialized wire view.
+    /// serial whenever the cluster's wire observer list is non-empty
+    /// (checker, tracer), since observers require a single serialized wire
+    /// view.
     pub parallel: bool,
     /// Bounded capacity (in ops) of each lane's op-log channel under the
     /// parallel scheduler. Lanes that run this far ahead of the replay

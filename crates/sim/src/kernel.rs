@@ -19,11 +19,13 @@ use parking_lot::Condvar;
 use carlos_util::rng::{SplitMix64, Xoshiro256};
 
 use crate::{
-    cluster::{Datagram, WireObserver},
+    cluster::{Datagram, WireEvent},
     config::SimConfig,
     fault::{DropCause, FaultState},
+    observe::{Observer, Observers},
     stats::{Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
+    transport::{wire_header, KIND_DATA},
 };
 
 /// Dense identifier of a simulated proc (thread of control).
@@ -144,9 +146,9 @@ pub(crate) struct Kernel {
     pub pair_last_delivery: BTreeMap<(NodeId, NodeId), Ns>,
     /// Scripted-fault runtime state compiled from the config's plan.
     pub fault: FaultState,
-    /// Passive wire observer invoked at each mailbox delivery (checker
-    /// instrumentation). Charges no virtual time.
-    pub observer: Option<Arc<dyn WireObserver>>,
+    /// Passive sinks of every wire event (checker, tracer). Charge no
+    /// virtual time.
+    pub observers: Observers<dyn for<'a> Observer<WireEvent<'a>>>,
     /// First panic payload captured from a proc, re-thrown by the runner.
     pub panic: Option<Box<dyn Any + Send>>,
     /// Node of the proc whose panic was captured.
@@ -181,7 +183,7 @@ impl Kernel {
             jitter_rngs,
             pair_last_delivery: BTreeMap::new(),
             fault,
-            observer: None,
+            observers: Observers::default(),
             panic: None,
             panic_node: None,
             poisoned: false,
@@ -292,7 +294,7 @@ impl Kernel {
             return Some(base);
         }
         let mut at = base;
-        if let Some(seq) = data_frame_seq(payload) {
+        if let Some((KIND_DATA, seq)) = wire_header(payload) {
             if let Some(extra) = self.config.schedule.get(src, dst, seq) {
                 at += extra;
                 // Seeded bug (FifoReorder): on the configured pair a
@@ -318,17 +320,6 @@ impl Kernel {
 /// `(seed, src)`.
 fn jitter_shard_seed(seed: u64, src: u64) -> u64 {
     SplitMix64::new(seed ^ (src + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
-}
-
-/// Transport sequence number of a DATA frame, parsed from the wire header
-/// (`None` for control frames and anything too short to carry a header).
-fn data_frame_seq(payload: &[u8]) -> Option<u32> {
-    use crate::transport::{HEADER_BYTES, KIND_DATA};
-    if payload.len() >= HEADER_BYTES && payload[0] == KIND_DATA {
-        Some(u32::from_le_bytes(payload[1..HEADER_BYTES].try_into().ok()?))
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

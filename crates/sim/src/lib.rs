@@ -46,6 +46,7 @@
 
 mod cluster;
 mod kernel;
+mod observe;
 mod parallel;
 
 pub mod config;
@@ -56,11 +57,15 @@ pub mod stats;
 pub mod time;
 pub mod transport;
 
-pub use cluster::{Cluster, Datagram, NodeCtx, SimReport, WireObserver};
+pub use cluster::{Cluster, Datagram, NodeCtx, SimReport, WireEvent};
 pub use config::SimConfig;
 pub use error::{abort, AbortInfo, BlockedProc, SimError};
 pub use fault::{FaultPlan, FaultSpec, GeParams};
+pub use observe::{Observer, Observers};
 pub use schedule::{FlowId, SchedulePlan};
 pub use stats::{Bucket, ClassStats, Counters, FrameClasses, NetStats, TimeBuckets};
 pub use time::{NodeId, Ns};
-pub use transport::{AckMode, ArqTuning, FrameBuf, Transport, TransportObserver};
+pub use transport::{
+    wire_header, AckMode, ArqTuning, FrameBuf, Transport, TransportEvent, KIND_ACK, KIND_DATA,
+    KIND_PING, KIND_PONG,
+};

@@ -937,7 +937,7 @@ pub(crate) fn event_loop(
                 }
                 if dgram.src != dst {
                     k.nodes[dst as usize].net.delivered += 1;
-                    debug_assert!(k.observer.is_none(), "observers force serial mode");
+                    debug_assert!(k.observers.is_empty(), "wire observers force serial mode");
                 }
                 let now = k.now;
                 r.mirror_append(dst, now, &dgram);
@@ -1195,7 +1195,7 @@ impl Runner {
         k.nodes[src as usize]
             .counters
             .add("net.sent_bytes", payload.len() as u64);
-        debug_assert!(k.observer.is_none(), "observers force serial mode");
+        debug_assert!(k.observers.is_empty(), "wire observers force serial mode");
         if let Some(deliver_at) = k.wire_transmit_frame(src, dst, &payload, now) {
             let dgram = Datagram {
                 src,

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use crate::time::Ns;
+use crate::transport::{wire_header, KIND_ACK, KIND_DATA, KIND_PING, KIND_PONG};
 
 /// The four execution-time buckets of the paper's Figure 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,19 +163,14 @@ pub struct FrameClasses {
 impl FrameClasses {
     /// Classifies `payload` by its transport kind byte and tallies it.
     pub(crate) fn note(&mut self, payload: &[u8]) {
-        // Mirrors the transport framing: 1 kind byte + 4-byte LE sequence.
-        // Anything shorter (or with an unknown kind) is not transport
-        // traffic and is classified `other`.
-        let class = if payload.len() >= 5 {
-            match payload[0] {
-                0 => &mut self.data,
-                1 => &mut self.ack,
-                2 => &mut self.ping,
-                3 => &mut self.pong,
-                _ => &mut self.other,
-            }
-        } else {
-            &mut self.other
+        // Anything too short for a transport header (or with an unknown
+        // kind) is not transport traffic and is classified `other`.
+        let class = match wire_header(payload) {
+            Some((KIND_DATA, _)) => &mut self.data,
+            Some((KIND_ACK, _)) => &mut self.ack,
+            Some((KIND_PING, _)) => &mut self.ping,
+            Some((KIND_PONG, _)) => &mut self.pong,
+            _ => &mut self.other,
         };
         class.note(payload.len());
     }

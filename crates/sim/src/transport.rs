@@ -27,47 +27,69 @@ use carlos_util::rng::SplitMix64;
 
 use crate::{
     cluster::NodeCtx,
+    observe::{Observer, Observers},
     time::{NodeId, Ns},
 };
 
-/// Passive observer of one node's transport endpoint (trace
-/// instrumentation).
+/// A transport-endpoint event, fanned out to the endpoint's
+/// [`crate::Observers`] list (trace instrumentation).
 ///
-/// Every method is invoked synchronously on the owning node's proc, charges
-/// no virtual time, and has a no-op default, so an endpoint with an observer
-/// installed behaves bit-identically to one without. `bytes` is always the
-/// sealed wire-frame length (header included). Sequence numbers are the
-/// per-(sender, receiver) transport sequence, which together with the node
-/// pair uniquely identifies a data frame for the lifetime of a run — trace
-/// layers use `(src, dst, seq)` as the causal flow id.
-pub trait TransportObserver: Send + Sync {
+/// Emitted synchronously on the owning node's proc. `bytes` is the sealed
+/// wire-frame length (header included) except for `Delivered`, where it is
+/// the body length. Sequence numbers are the per-(sender, receiver)
+/// transport sequence, which together with the node pair uniquely
+/// identifies a data frame for the lifetime of a run — trace layers use
+/// `(src, dst, seq)` as the causal flow id.
+#[derive(Debug, Clone, Copy)]
+pub enum TransportEvent {
     /// A data frame was sealed with `seq` and handed to the wire (first
     /// transmission; includes loopback frames, which skip the wire).
-    fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, dst, seq, bytes, at);
-    }
-
+    Sent {
+        /// Sending node.
+        node: NodeId,
+        /// Destination node.
+        dst: NodeId,
+        /// Transport sequence number.
+        seq: u32,
+        /// Sealed frame length.
+        bytes: usize,
+        /// Virtual time.
+        at: Ns,
+    },
     /// A message could not enter the ARQ window and was queued unsealed;
-    /// its `data_sent` fires later, when acknowledgements open the window.
-    fn data_queued(&self, node: NodeId, dst: NodeId, bytes: usize, at: Ns) {
-        let _ = (node, dst, bytes, at);
-    }
-
+    /// its `Sent` fires later, when acknowledgements open the window.
+    Queued,
     /// A go-back-N timeout retransmitted the already-sealed frame `seq`.
-    fn data_retransmitted(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, dst, seq, bytes, at);
-    }
-
-    /// Frame `seq` from `src` was released to the application in order
-    /// (`bytes` is the body length, header stripped).
-    fn data_delivered(&self, node: NodeId, src: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, src, seq, bytes, at);
-    }
-
+    Retransmitted {
+        /// Sending node.
+        node: NodeId,
+        /// Destination node.
+        dst: NodeId,
+        /// Transport sequence number.
+        seq: u32,
+    },
+    /// Frame `seq` from `src` was released to the application in order.
+    Delivered {
+        /// Receiving node.
+        node: NodeId,
+        /// Sending node.
+        src: NodeId,
+        /// Transport sequence number.
+        seq: u32,
+        /// Body length (header stripped).
+        bytes: usize,
+        /// Virtual time.
+        at: Ns,
+    },
     /// A duplicate of an already-delivered frame arrived and was suppressed.
-    fn data_duplicate(&self, node: NodeId, src: NodeId, seq: u32, at: Ns) {
-        let _ = (node, src, seq, at);
-    }
+    Duplicate {
+        /// Receiving node.
+        node: NodeId,
+        /// Sending node.
+        src: NodeId,
+        /// Transport sequence number.
+        seq: u32,
+    },
 }
 
 /// Acknowledgement strategy for a [`Transport`].
@@ -86,10 +108,25 @@ pub enum AckMode {
 
 /// Wire header: 1 byte kind + 4 bytes sequence/ack number.
 pub(crate) const HEADER_BYTES: usize = 5;
-pub(crate) const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
-const KIND_PING: u8 = 2;
-const KIND_PONG: u8 = 3;
+/// Header kind of a data frame (application and protocol payloads).
+pub const KIND_DATA: u8 = 0;
+/// Header kind of a cumulative acknowledgement.
+pub const KIND_ACK: u8 = 1;
+/// Header kind of a liveness probe.
+pub const KIND_PING: u8 = 2;
+/// Header kind of a liveness probe's answer.
+pub const KIND_PONG: u8 = 3;
+
+/// Decodes a frame's transport header: 1 kind byte (`KIND_*`) + 4-byte
+/// little-endian sequence (or cumulative ack) number. Returns
+/// `(kind, seq)`, or `None` for payloads too short to carry a header; the
+/// kind is returned as found, so callers decide what an unknown kind means.
+#[must_use]
+pub fn wire_header(payload: &[u8]) -> Option<(u8, u32)> {
+    let header: [u8; HEADER_BYTES] = payload.get(..HEADER_BYTES)?.try_into().ok()?;
+    let [kind, seq @ ..] = header;
+    Some((kind, u32::from_le_bytes(seq)))
+}
 
 /// Retransmission and failure-detection knobs for [`AckMode::Arq`].
 ///
@@ -240,7 +277,7 @@ pub struct Transport {
     tx: Vec<PeerTx>,
     rx: Vec<PeerRx>,
     ready: VecDeque<(NodeId, Bytes)>,
-    obs: Option<Arc<dyn TransportObserver>>,
+    observers: Observers<dyn Observer<TransportEvent>>,
 }
 
 impl Transport {
@@ -255,13 +292,13 @@ impl Transport {
             tx: (0..n).map(|_| PeerTx::default()).collect(),
             rx: (0..n).map(|_| PeerRx::default()).collect(),
             ready: VecDeque::new(),
-            obs: None,
+            observers: Observers::default(),
         }
     }
 
-    /// Installs a passive [`TransportObserver`] on this endpoint.
-    pub fn set_observer(&mut self, obs: Arc<dyn TransportObserver>) {
-        self.obs = Some(obs);
+    /// Adds `sink` to the observers of this endpoint's [`TransportEvent`]s.
+    pub fn observe(&mut self, sink: Arc<dyn Observer<TransportEvent>>) {
+        self.observers.add(sink);
     }
 
     /// The node context this transport runs on.
@@ -344,9 +381,7 @@ impl Transport {
             let seq = self.tx[dst as usize].next_seq;
             self.tx[dst as usize].next_seq += 1;
             let sealed = msg.seal(KIND_DATA, seq);
-            if let Some(obs) = &self.obs {
-                obs.data_sent(dst, dst, seq, sealed.len(), self.ctx.now());
-            }
+            self.emit_sent(dst, seq, &sealed);
             self.ctx.send_datagram(dst, sealed);
             return;
         }
@@ -355,9 +390,7 @@ impl Transport {
                 let seq = self.tx[dst as usize].next_seq;
                 self.tx[dst as usize].next_seq += 1;
                 let sealed = msg.seal(KIND_DATA, seq);
-                if let Some(obs) = &self.obs {
-                    obs.data_sent(self.ctx.node_id(), dst, seq, sealed.len(), self.ctx.now());
-                }
+                self.emit_sent(dst, seq, &sealed);
                 self.ctx.send_datagram(dst, sealed);
             }
             AckMode::Arq { window, rto } => {
@@ -370,14 +403,10 @@ impl Transport {
                     if peer.rto_at.is_none() {
                         peer.rto_at = Some(self.ctx.now() + rto);
                     }
-                    if let Some(obs) = &self.obs {
-                        obs.data_sent(self.ctx.node_id(), dst, seq, sealed.len(), self.ctx.now());
-                    }
+                    self.emit_sent(dst, seq, &sealed);
                     self.ctx.send_datagram(dst, sealed);
                 } else {
-                    if let Some(obs) = &self.obs {
-                        obs.data_queued(self.ctx.node_id(), dst, msg.0.len(), self.ctx.now());
-                    }
+                    self.observers.emit(|| TransportEvent::Queued);
                     peer.queued.push_back(msg);
                 }
             }
@@ -531,15 +560,11 @@ impl Transport {
             let frames: Vec<(u32, Bytes)> = self.tx[dst].unacked.iter().cloned().collect();
             for (seq, payload) in frames {
                 self.ctx.count("transport.retransmits", 1);
-                if let Some(obs) = &self.obs {
-                    obs.data_retransmitted(
-                        self.ctx.node_id(),
-                        dst as NodeId,
-                        seq,
-                        payload.len(),
-                        self.ctx.now(),
-                    );
-                }
+                self.observers.emit(|| TransportEvent::Retransmitted {
+                    node: self.ctx.node_id(),
+                    dst: dst as NodeId,
+                    seq,
+                });
                 self.ctx.send_datagram(dst as NodeId, payload);
             }
             if self.tx[dst].unacked.is_empty() {
@@ -570,17 +595,11 @@ impl Transport {
     }
 
     fn handle_datagram(&mut self, src: NodeId, payload: Bytes) {
-        if payload.len() < HEADER_BYTES {
+        let Some((kind, seq)) = wire_header(&payload) else {
             // Corrupt or foreign datagram; the real system would log and drop.
             self.ctx.count("transport.malformed", 1);
             return;
-        }
-        let kind = payload[0];
-        let seq = u32::from_le_bytes(
-            payload[1..5]
-                .try_into()
-                .expect("header slice is four bytes"),
-        );
+        };
         // O(1) sub-view of the arriving frame — no receive-side body copy.
         let body = payload.slice(HEADER_BYTES..);
         self.note_heard(src);
@@ -603,20 +622,27 @@ impl Transport {
         let rx = &mut self.rx[src as usize];
         if seq < rx.next_seq {
             self.ctx.count("transport.duplicates", 1);
-            if let Some(obs) = &self.obs {
-                obs.data_duplicate(me, src, seq, self.ctx.now());
-            }
+            self.observers
+                .emit(|| TransportEvent::Duplicate { node: me, src, seq });
         } else if seq == rx.next_seq {
             rx.next_seq += 1;
-            if let Some(obs) = &self.obs {
-                obs.data_delivered(me, src, seq, body.len(), self.ctx.now());
-            }
+            self.observers.emit(|| TransportEvent::Delivered {
+                node: me,
+                src,
+                seq,
+                bytes: body.len(),
+                at: self.ctx.now(),
+            });
             self.ready.push_back((src, body));
             // Drain any buffered successors.
             while let Some(b) = rx.reorder.remove(&rx.next_seq) {
-                if let Some(obs) = &self.obs {
-                    obs.data_delivered(me, src, rx.next_seq, b.len(), self.ctx.now());
-                }
+                self.observers.emit(|| TransportEvent::Delivered {
+                    node: me,
+                    src,
+                    seq: rx.next_seq,
+                    bytes: b.len(),
+                    at: self.ctx.now(),
+                });
                 rx.next_seq += 1;
                 self.ready.push_back((src, b));
             }
@@ -659,22 +685,24 @@ impl Transport {
             peer.next_seq += 1;
             let sealed = msg.seal(KIND_DATA, seq);
             peer.unacked.push_back((seq, sealed.clone()));
-            to_send.push(sealed);
+            to_send.push((seq, sealed));
         }
         if !to_send.is_empty() && self.tx[src as usize].rto_at.is_none() {
             self.tx[src as usize].rto_at = Some(self.ctx.now() + rto);
         }
-        for sealed in to_send {
-            if let Some(obs) = &self.obs {
-                // The frame's sequence number sits in its sealed header.
-                let seq = u32::from_le_bytes(
-                    sealed[1..HEADER_BYTES]
-                        .try_into()
-                        .expect("header slice is four bytes"),
-                );
-                obs.data_sent(self.ctx.node_id(), src, seq, sealed.len(), self.ctx.now());
-            }
+        for (seq, sealed) in to_send {
+            self.emit_sent(src, seq, &sealed);
             self.ctx.send_datagram(src, sealed);
         }
+    }
+
+    fn emit_sent(&self, dst: NodeId, seq: u32, sealed: &Bytes) {
+        self.observers.emit(|| TransportEvent::Sent {
+            node: self.ctx.node_id(),
+            dst,
+            seq,
+            bytes: sealed.len(),
+            at: self.ctx.now(),
+        });
     }
 }

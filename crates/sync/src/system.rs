@@ -130,19 +130,13 @@ impl SyncSystem {
         id: u32,
         peers: &[NodeId],
     ) -> Result<AcceptedMsg, SyncError> {
-        // Bracket the blocking wait with probe span events so trace layers
-        // see lock/barrier/queue stalls as first-class spans. Both the Ok
-        // and Err exits close the span; a crash-unwind leaves it open, and
+        // Bracket the blocking wait with span events so trace layers see
+        // lock/barrier/queue stalls as first-class spans. Both the Ok and
+        // Err exits close the span; a crash-unwind leaves it open, and
         // trace layers drop unclosed spans at export.
-        let probe = rt.probe();
-        let node = rt.node_id();
-        if let Some(p) = &probe {
-            p.sync_wait(node, op, id, true, rt.ctx().now());
-        }
+        rt.sync_wait(op, id, true);
         let result = self.wait_sync_inner(rt, handlers, op, id, peers);
-        if let Some(p) = &probe {
-            p.sync_wait(node, op, id, false, rt.ctx().now());
-        }
+        rt.sync_wait(op, id, false);
         result
     }
 

@@ -23,11 +23,13 @@
 //! causal DOT graph via [`Tracer::dot_graph`], and as metrics JSON via
 //! [`Metrics::to_json`].
 //!
-//! Like `carlos-check`, the tracer is a pure observer: its hooks charge no
-//! virtual time, consume no randomness, and send no messages, so a run
-//! with a tracer installed produces a bit-identical
-//! [`carlos_sim::SimReport`] fingerprint to the same run without one (see
-//! the `tracer_is_invisible_to_the_goldens` test).
+//! Like `carlos-check`, the tracer is one [`carlos_sim::Observer`] sink of
+//! each layer's typed events — wire, transport, engine and core — and a
+//! pure observer: it charges no virtual time, consumes no randomness, and
+//! sends no messages, so a run with a tracer installed produces a
+//! bit-identical [`carlos_sim::SimReport`] fingerprint to the same run
+//! without one (see the `tracer_is_invisible_to_the_goldens` test). Sinks
+//! fan out, so the checker and the tracer can watch the same run.
 //!
 //! # Usage
 //!
@@ -35,9 +37,9 @@
 //! use carlos_trace::Tracer;
 //! # let mut cluster = carlos_sim::Cluster::new(carlos_sim::SimConfig::default(), 2);
 //! let tracer = Tracer::new(2);
-//! tracer.attach(&mut cluster); // wire observer
+//! tracer.attach(&mut cluster); // wire events
 //! // ... inside each node closure:
-//! // tracer.install(&mut rt);  // probe + engine + transport observers
+//! // tracer.install(&mut rt);  // core, engine and transport events
 //! let report = cluster.run();
 //! std::fs::write("trace.json", tracer.chrome_trace()).unwrap();
 //! ```
@@ -51,10 +53,12 @@ mod metrics;
 
 use std::{collections::BTreeMap, collections::VecDeque, fmt, sync::Arc};
 
-use bytes::Bytes;
-use carlos_core::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass, Runtime};
-use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
-use carlos_sim::{Cluster, NodeId, Ns, TransportObserver, WireObserver};
+use carlos_core::{CoreEvent, CostPhase, FetchKind, GranuleClass, MsgClass, Runtime};
+use carlos_lrc::EngineEvent;
+use carlos_sim::{
+    wire_header, Cluster, NodeId, Ns, Observer, TransportEvent, WireEvent, KIND_ACK, KIND_DATA,
+    KIND_PING, KIND_PONG,
+};
 use parking_lot::Mutex;
 
 pub use json::JsonValue;
@@ -72,19 +76,6 @@ pub struct FlowKey {
     pub seq: u32,
 }
 
-impl FlowKey {
-    /// Parses a wire frame into its causal flow identity. Returns the
-    /// transport kind byte alongside the key; `None` for payloads too short
-    /// to carry a transport header. Only DATA frames (kind 0) have
-    /// per-pair sequence numbers that identify a unique flow; control
-    /// frames reuse the field for ack/sequence bookkeeping.
-    #[must_use]
-    pub fn from_frame(src: NodeId, dst: NodeId, payload: &[u8]) -> Option<(u8, FlowKey)> {
-        let (kind, seq) = wire_header(payload)?;
-        Some((kind, FlowKey { src, dst, seq }))
-    }
-}
-
 /// The life of one message, send intent through handler dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flow {
@@ -97,7 +88,7 @@ pub struct Flow {
     pub handler: Option<u32>,
     /// Sealed wire-frame length in bytes.
     pub bytes: usize,
-    /// Virtual time of the core's send intent ([`CoreProbe::msg_sent`]).
+    /// Virtual time of the core's send intent ([`CoreEvent::MsgSent`]).
     pub msg_at: Option<Ns>,
     /// First transport transmission time.
     pub sent_at: Option<Ns>,
@@ -268,19 +259,17 @@ impl Tracer {
         }
     }
 
-    /// Install the core probe, engine observer, and transport observer on
-    /// one node's runtime. Call from the node closure, before the
+    /// Add the tracer to one node's runtime observers (core, engine, and
+    /// transport events). Call from the node closure, before the
     /// application sends messages.
     pub fn install(&self, rt: &mut Runtime) {
-        rt.set_probe(Arc::new(self.clone()));
-        rt.set_engine_observer(Arc::new(self.clone()));
-        rt.set_transport_observer(Arc::new(self.clone()));
+        rt.observe(Arc::new(self.clone()));
     }
 
-    /// Attach the wire observer to the cluster (transmission, loss, and
-    /// mailbox-delivery events).
+    /// Add the tracer to the cluster's wire observers (transmission, loss,
+    /// and mailbox-delivery events).
     pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Arc::new(self.clone()));
+        cluster.observe(Arc::new(self.clone()));
     }
 
     /// Snapshot of all recorded flows, in `(src, dst, seq)` order.
@@ -321,23 +310,6 @@ impl Tracer {
     pub fn dot_graph(&self) -> String {
         export::dot_graph(&self.inner.lock())
     }
-}
-
-/// Transport frame header layout (mirrors `carlos_sim::transport`): 1 kind
-/// byte + 4-byte LE sequence number. Returns `(kind, seq)`, or `None` for
-/// payloads too short to carry a header. Public so schedule-exploration
-/// tooling can name flows without re-deriving the wire format.
-#[must_use]
-pub fn wire_header(payload: &[u8]) -> Option<(u8, u32)> {
-    if payload.len() < 5 {
-        return None;
-    }
-    let seq = u32::from_le_bytes(payload[1..5].try_into().ok()?);
-    Some((payload[0], seq))
-}
-
-fn parse_header(payload: &Bytes) -> Option<(u8, u32)> {
-    wire_header(payload)
 }
 
 // Pre-interned metric keys for the per-message hot paths. Building each
@@ -462,281 +434,275 @@ fn wait_key(what: &'static str) -> Option<&'static str> {
     }
 }
 
-impl CoreProbe for Tracer {
-    fn release_sent(&self, _node: NodeId, _dst: NodeId, _required: &Vc) {
-        self.inner.lock().metrics.count("protocol.release_sent", 1);
-    }
-
-    fn release_accepted(&self, _node: NodeId, _origin: NodeId, _required: &Vc, complete: bool) {
+impl Observer<CoreEvent<'_>> for Tracer {
+    fn observe(&self, e: &CoreEvent<'_>) {
         let mut st = self.inner.lock();
-        st.metrics.count("protocol.release_accepted", 1);
-        if !complete {
-            st.metrics.count("protocol.release_incomplete", 1);
-        }
-    }
-
-    fn repair_requested(&self, _node: NodeId, _origin: NodeId, _have: &Vc, _want: &Vc) {
-        self.inner.lock().metrics.count("protocol.repair_requested", 1);
-    }
-
-    fn msg_sent(&self, node: NodeId, dst: NodeId, class: MsgClass, handler: u32, at: Ns) {
-        let mut st = self.inner.lock();
-        st.metrics.count(msg_sent_key(class), 1);
-        st.pending_send
-            .entry((node, dst))
-            .or_default()
-            .push_back((class, handler, at));
-    }
-
-    fn msg_dispatched(
-        &self,
-        node: NodeId,
-        src: NodeId,
-        class: MsgClass,
-        handler: u32,
-        bytes: usize,
-        at: Ns,
-    ) {
-        let mut st = self.inner.lock();
-        st.metrics.count(msg_dispatched_key(class), 1);
-        if st.record_events {
-            st.push_instant(InstantEvent {
+        match *e {
+            CoreEvent::ReleaseSent { .. } => st.metrics.count("protocol.release_sent", 1),
+            CoreEvent::ReleaseAccepted { complete, .. } => {
+                st.metrics.count("protocol.release_accepted", 1);
+                if !complete {
+                    st.metrics.count("protocol.release_incomplete", 1);
+                }
+            }
+            CoreEvent::RepairRequested => st.metrics.count("protocol.repair_requested", 1),
+            CoreEvent::MsgSent {
                 node,
-                name: format!("dispatch {} h{handler:#x} from n{src}", class.name()),
-                cat: "protocol",
+                dst,
+                class,
+                handler,
                 at,
-            });
-        }
-        if let Some(key) = st
-            .pending_dispatch
-            .get_mut(&(node, src))
-            .and_then(VecDeque::pop_front)
-        {
-            let flow = st.flows.get_mut(&key).expect("pending flow exists");
-            flow.dispatched_at = Some(at);
-            if flow.class.is_none() {
-                flow.class = Some(class);
-                flow.handler = Some(handler);
-                flow.bytes = bytes;
+            } => {
+                st.metrics.count(msg_sent_key(class), 1);
+                st.pending_send
+                    .entry((node, dst))
+                    .or_default()
+                    .push_back((class, handler, at));
             }
-            if let (Some(sent), Some(cls)) = (flow.msg_at.or(flow.sent_at), flow.class) {
-                let lat = at.saturating_sub(sent);
-                st.metrics.observe(flow_latency_key(cls), lat);
-            }
-        }
-    }
-
-    fn protocol_cost(&self, node: NodeId, class: MsgClass, phase: CostPhase, ns: Ns, at: Ns) {
-        let mut st = self.inner.lock();
-        st.metrics.observe(cost_key(class, phase), ns);
-        if st.record_events {
-            st.push_span(Span {
+            CoreEvent::MsgDispatched {
                 node,
-                name: format!("{} {}", phase.name(), class.name()),
-                cat: "cost",
-                start: at,
-                end: at + ns,
-            });
-        }
-    }
-
-    fn fetch_started(&self, node: NodeId, server: NodeId, page: u32, kind: FetchKind, at: Ns) {
-        let mut st = self.inner.lock();
-        st.metrics.count(fetch_count_key(kind), 1);
-        st.open_fetches.insert((node, server, page), (kind, at));
-    }
-
-    fn fetch_finished(&self, node: NodeId, server: NodeId, page: u32, at: Ns) {
-        let mut st = self.inner.lock();
-        if let Some((kind, began)) = st.open_fetches.remove(&(node, server, page)) {
-            st.metrics
-                .observe(fetch_latency_key(kind), at.saturating_sub(began));
-            if st.record_events {
-                let what = match kind {
-                    FetchKind::Diffs => "diffs",
-                    FetchKind::Page => "page",
-                };
-                st.push_span(Span {
-                    node,
-                    name: format!("fetch {what} p{page} <- n{server}"),
-                    cat: "fetch",
-                    start: began,
-                    end: at.max(began),
-                });
-            }
-        }
-    }
-
-    fn fetch_fulfilled(
-        &self,
-        _node: NodeId,
-        _server: NodeId,
-        _page: u32,
-        class: GranuleClass,
-        bytes: usize,
-        _at: Ns,
-    ) {
-        let mut st = self.inner.lock();
-        st.metrics.count(fetch_class_key(class), 1);
-        st.metrics.count(fetch_bytes_key(class), bytes as u64);
-    }
-
-    fn sync_wait(&self, node: NodeId, what: &'static str, id: u32, begin: bool, at: Ns) {
-        let mut st = self.inner.lock();
-        if begin {
-            st.open_waits.entry((node, what, id)).or_default().push(at);
-            return;
-        }
-        if let Some(began) = st
-            .open_waits
-            .get_mut(&(node, what, id))
-            .and_then(Vec::pop)
-        {
-            let elapsed = at.saturating_sub(began);
-            match wait_key(what) {
-                Some(key) => st.metrics.observe(key, elapsed),
-                None => st.metrics.observe(&format!("wait.{what}"), elapsed),
-            }
-            if st.record_events {
-                st.push_span(Span {
-                    node,
-                    name: format!("wait {what} #{id}"),
-                    cat: "sync",
-                    start: began,
-                    end: at.max(began),
-                });
-            }
-        }
-    }
-}
-
-impl TransportObserver for Tracer {
-    fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.lock();
-        let intent = st
-            .pending_send
-            .get_mut(&(node, dst))
-            .and_then(VecDeque::pop_front);
-        let flow = st.flow(node, dst, seq, bytes);
-        flow.sent_at = Some(at);
-        flow.bytes = bytes;
-        if let Some((class, handler, msg_at)) = intent {
-            flow.class = Some(class);
-            flow.handler = Some(handler);
-            flow.msg_at = Some(msg_at);
-            let delay = at.saturating_sub(msg_at);
-            st.metrics.observe("flow.send_delay", delay);
-        }
-    }
-
-    fn data_queued(&self, node: NodeId, dst: NodeId, _bytes: usize, _at: Ns) {
-        let _ = (node, dst);
-        self.inner.lock().metrics.count("transport.queued", 1);
-    }
-
-    fn data_retransmitted(&self, node: NodeId, dst: NodeId, seq: u32, _bytes: usize, _at: Ns) {
-        let mut st = self.inner.lock();
-        st.metrics.count("transport.retransmits", 1);
-        if let Some(f) = st.flows.get_mut(&(node, dst, seq)) {
-            f.retransmits += 1;
-        }
-    }
-
-    fn data_delivered(&self, node: NodeId, src: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.lock();
-        let flow = st.flow(src, node, seq, bytes);
-        flow.ready_at = Some(at);
-        let key = flow.key;
-        st.pending_dispatch
-            .entry((node, src))
-            .or_default()
-            .push_back((key.src, key.dst, key.seq));
-    }
-
-    fn data_duplicate(&self, node: NodeId, src: NodeId, seq: u32, _at: Ns) {
-        let mut st = self.inner.lock();
-        st.metrics.count("transport.duplicates", 1);
-        if let Some(f) = st.flows.get_mut(&(src, node, seq)) {
-            f.duplicates += 1;
-        }
-    }
-}
-
-impl WireObserver for Tracer {
-    fn frame_delivered(
-        &self,
-        _src: NodeId,
-        _dst: NodeId,
-        _sent_at: Ns,
-        _delivered_at: Ns,
-        _bytes: usize,
-    ) {
-        // The payload-carrying companion below does the work.
-    }
-
-    fn frame_sent(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
-        let mut st = self.inner.lock();
-        match parse_header(payload) {
-            Some((0, seq)) => {
-                st.metrics.count("wire.sent.data", 1);
-                // Only annotate flows the transport observer created:
-                // foreign traffic that merely looks like a data frame must
-                // not fabricate flow entries.
-                if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                    f.wire_sends += 1;
+                src,
+                class,
+                handler,
+                bytes,
+                at,
+            } => {
+                st.metrics.count(msg_dispatched_key(class), 1);
+                if st.record_events {
+                    st.push_instant(InstantEvent {
+                        node,
+                        name: format!("dispatch {} h{handler:#x} from n{src}", class.name()),
+                        cat: "protocol",
+                        at,
+                    });
+                }
+                if let Some(key) = st
+                    .pending_dispatch
+                    .get_mut(&(node, src))
+                    .and_then(VecDeque::pop_front)
+                {
+                    let flow = st.flows.get_mut(&key).expect("pending flow exists");
+                    flow.dispatched_at = Some(at);
+                    if flow.class.is_none() {
+                        flow.class = Some(class);
+                        flow.handler = Some(handler);
+                        flow.bytes = bytes;
+                    }
+                    if let (Some(sent), Some(cls)) = (flow.msg_at.or(flow.sent_at), flow.class) {
+                        let lat = at.saturating_sub(sent);
+                        st.metrics.observe(flow_latency_key(cls), lat);
+                    }
                 }
             }
-            Some((1, _)) => st.metrics.count("wire.sent.ack", 1),
-            Some((2, _)) => st.metrics.count("wire.sent.ping", 1),
-            Some((3, _)) => st.metrics.count("wire.sent.pong", 1),
-            _ => st.metrics.count("wire.sent.other", 1),
-        }
-    }
-
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
-        let mut st = self.inner.lock();
-        st.metrics.count("wire.dropped", 1);
-        if let Some((0, seq)) = parse_header(payload) {
-            if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                f.drops += 1;
+            CoreEvent::ProtocolCost {
+                node,
+                class,
+                phase,
+                ns,
+                at,
+            } => {
+                st.metrics.observe(cost_key(class, phase), ns);
+                if st.record_events {
+                    st.push_span(Span {
+                        node,
+                        name: format!("{} {}", phase.name(), class.name()),
+                        cat: "cost",
+                        start: at,
+                        end: at + ns,
+                    });
+                }
             }
-        }
-    }
-
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &Bytes,
-    ) {
-        let mut st = self.inner.lock();
-        st.metrics
-            .observe("wire.latency", delivered_at.saturating_sub(sent_at));
-        if let Some((0, seq)) = parse_header(payload) {
-            if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                if f.delivered_at.is_none() {
-                    f.delivered_at = Some(delivered_at);
+            CoreEvent::FetchStarted {
+                node,
+                server,
+                page,
+                kind,
+                at,
+            } => {
+                st.metrics.count(fetch_count_key(kind), 1);
+                st.open_fetches.insert((node, server, page), (kind, at));
+            }
+            CoreEvent::FetchFinished {
+                node,
+                server,
+                page,
+                at,
+            } => {
+                if let Some((kind, began)) = st.open_fetches.remove(&(node, server, page)) {
+                    st.metrics
+                        .observe(fetch_latency_key(kind), at.saturating_sub(began));
+                    if st.record_events {
+                        let what = match kind {
+                            FetchKind::Diffs => "diffs",
+                            FetchKind::Page => "page",
+                        };
+                        st.push_span(Span {
+                            node,
+                            name: format!("fetch {what} p{page} <- n{server}"),
+                            cat: "fetch",
+                            start: began,
+                            end: at.max(began),
+                        });
+                    }
+                }
+            }
+            CoreEvent::FetchFulfilled { class, bytes } => {
+                st.metrics.count(fetch_class_key(class), 1);
+                st.metrics.count(fetch_bytes_key(class), bytes as u64);
+            }
+            CoreEvent::SyncWait {
+                node,
+                what,
+                id,
+                begin,
+                at,
+            } => {
+                if begin {
+                    st.open_waits.entry((node, what, id)).or_default().push(at);
+                    return;
+                }
+                if let Some(began) = st
+                    .open_waits
+                    .get_mut(&(node, what, id))
+                    .and_then(Vec::pop)
+                {
+                    let elapsed = at.saturating_sub(began);
+                    match wait_key(what) {
+                        Some(key) => st.metrics.observe(key, elapsed),
+                        None => st.metrics.observe(&format!("wait.{what}"), elapsed),
+                    }
+                    if st.record_events {
+                        st.push_span(Span {
+                            node,
+                            name: format!("wait {what} #{id}"),
+                            cat: "sync",
+                            start: began,
+                            end: at.max(began),
+                        });
+                    }
                 }
             }
         }
     }
 }
 
-impl EngineObserver for Tracer {
-    fn interval_closed(&self, _node: u32, rec: &IntervalRecord) {
+impl Observer<TransportEvent> for Tracer {
+    fn observe(&self, e: &TransportEvent) {
         let mut st = self.inner.lock();
-        st.metrics.count("lrc.intervals_closed", 1);
-        st.metrics
-            .count("lrc.write_notices", rec.pages.len() as u64);
+        match *e {
+            TransportEvent::Sent {
+                node,
+                dst,
+                seq,
+                bytes,
+                at,
+            } => {
+                let intent = st
+                    .pending_send
+                    .get_mut(&(node, dst))
+                    .and_then(VecDeque::pop_front);
+                let flow = st.flow(node, dst, seq, bytes);
+                flow.sent_at = Some(at);
+                flow.bytes = bytes;
+                if let Some((class, handler, msg_at)) = intent {
+                    flow.class = Some(class);
+                    flow.handler = Some(handler);
+                    flow.msg_at = Some(msg_at);
+                    let delay = at.saturating_sub(msg_at);
+                    st.metrics.observe("flow.send_delay", delay);
+                }
+            }
+            TransportEvent::Queued => st.metrics.count("transport.queued", 1),
+            TransportEvent::Retransmitted { node, dst, seq } => {
+                st.metrics.count("transport.retransmits", 1);
+                if let Some(f) = st.flows.get_mut(&(node, dst, seq)) {
+                    f.retransmits += 1;
+                }
+            }
+            TransportEvent::Delivered {
+                node,
+                src,
+                seq,
+                bytes,
+                at,
+            } => {
+                let flow = st.flow(src, node, seq, bytes);
+                flow.ready_at = Some(at);
+                let key = flow.key;
+                st.pending_dispatch
+                    .entry((node, src))
+                    .or_default()
+                    .push_back((key.src, key.dst, key.seq));
+            }
+            TransportEvent::Duplicate { node, src, seq } => {
+                st.metrics.count("transport.duplicates", 1);
+                if let Some(f) = st.flows.get_mut(&(src, node, seq)) {
+                    f.duplicates += 1;
+                }
+            }
+        }
     }
+}
 
-    fn record_applied(&self, _node: u32, _rec: &IntervalRecord) {
-        self.inner.lock().metrics.count("lrc.records_applied", 1);
+impl Observer<WireEvent<'_>> for Tracer {
+    fn observe(&self, e: &WireEvent<'_>) {
+        let mut st = self.inner.lock();
+        match *e {
+            WireEvent::Sent { dst, dgram: d } => match wire_header(&d.payload) {
+                Some((KIND_DATA, seq)) => {
+                    st.metrics.count("wire.sent.data", 1);
+                    // Only annotate flows the transport events created:
+                    // foreign traffic that merely looks like a data frame
+                    // must not fabricate flow entries.
+                    if let Some(f) = st.flows.get_mut(&(d.src, dst, seq)) {
+                        f.wire_sends += 1;
+                    }
+                }
+                Some((KIND_ACK, _)) => st.metrics.count("wire.sent.ack", 1),
+                Some((KIND_PING, _)) => st.metrics.count("wire.sent.ping", 1),
+                Some((KIND_PONG, _)) => st.metrics.count("wire.sent.pong", 1),
+                _ => st.metrics.count("wire.sent.other", 1),
+            },
+            WireEvent::Dropped { dst, dgram: d } => {
+                st.metrics.count("wire.dropped", 1);
+                if let Some((KIND_DATA, seq)) = wire_header(&d.payload) {
+                    if let Some(f) = st.flows.get_mut(&(d.src, dst, seq)) {
+                        f.drops += 1;
+                    }
+                }
+            }
+            WireEvent::Delivered { dst, dgram: d, at } => {
+                st.metrics.observe("wire.latency", at.saturating_sub(d.sent_at));
+                if let Some((KIND_DATA, seq)) = wire_header(&d.payload) {
+                    if let Some(f) = st.flows.get_mut(&(d.src, dst, seq)) {
+                        if f.delivered_at.is_none() {
+                            f.delivered_at = Some(at);
+                        }
+                    }
+                }
+            }
+        }
     }
+}
 
-    fn page_installed(&self, _node: u32, _page: carlos_lrc::PageId, _applied: &Vc) {
-        self.inner.lock().metrics.count("lrc.pages_installed", 1);
+impl Observer<EngineEvent<'_>> for Tracer {
+    fn observe(&self, e: &EngineEvent<'_>) {
+        // Memory accesses are the hottest events and carry nothing the
+        // tracer records: match before taking the lock.
+        match *e {
+            EngineEvent::IntervalClosed { rec, .. } => {
+                let mut st = self.inner.lock();
+                st.metrics.count("lrc.intervals_closed", 1);
+                st.metrics
+                    .count("lrc.write_notices", rec.pages.len() as u64);
+            }
+            EngineEvent::RecordApplied { .. } => {
+                self.inner.lock().metrics.count("lrc.records_applied", 1);
+            }
+            EngineEvent::PageInstalled => {
+                self.inner.lock().metrics.count("lrc.pages_installed", 1);
+            }
+            EngineEvent::MemRead { .. } | EngineEvent::MemWrite { .. } => {}
+        }
     }
 }

@@ -12,6 +12,7 @@
 //! these fingerprints), regenerate the goldens by running the test and
 //! copying the `actual fingerprint:` block from the failure message.
 
+use carlos::apps::harness;
 use carlos::check::Checker;
 use carlos::trace::Tracer;
 use carlos::core::{CoreConfig, Runtime};
@@ -73,12 +74,7 @@ fn two_node_run_regions(
 ) -> SimReport {
     const N: usize = 2;
     let mut cluster = Cluster::new(SimConfig::osdi94(), N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &check, &trace);
     for node in 0..N as u32 {
         let check = check.clone();
         let trace = trace.clone();
@@ -87,12 +83,7 @@ fn two_node_run_regions(
             let mut lrc = LrcConfig::osdi94(N, 1 << 15);
             lrc.regions = regions.clone();
             let mut rt = Runtime::new(ctx, lrc, CoreConfig::osdi94());
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
+            harness::install(&mut rt, &check, &trace);
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let b = BarrierSpec::global(9, 0);
@@ -131,12 +122,7 @@ fn two_node_lossy_run_regions(
     const N: usize = 2;
     let cfg = SimConfig::fast_test().with_loss(0.10, 77);
     let mut cluster = Cluster::new(cfg, N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &check, &trace);
     for node in 0..N as u32 {
         let check = check.clone();
         let trace = trace.clone();
@@ -149,12 +135,7 @@ fn two_node_lossy_run_regions(
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
             let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
+            harness::install(&mut rt, &check, &trace);
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -201,12 +182,7 @@ fn two_node_chaos_run_regions(
         .pause(1, us(20), ms(12));
     let cfg = SimConfig::fast_test().with_loss(0.05, 77).with_fault_plan(plan);
     let mut cluster = Cluster::new(cfg, N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    harness::attach(&mut cluster, &check, &trace);
     for node in 0..N as u32 {
         let check = check.clone();
         let trace = trace.clone();
@@ -219,12 +195,7 @@ fn two_node_chaos_run_regions(
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
             let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
+            harness::install(&mut rt, &check, &trace);
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -389,7 +360,9 @@ fn mixed_granularity_reports_are_pinned() {
 /// The consistency oracle is a pure observer: installing it on every node
 /// and attaching it to the wire must leave the pinned fingerprints —
 /// virtual times, event and message counts, every per-node counter —
-/// bit-identical, while the oracle itself reports a clean run.
+/// bit-identical, while the oracle itself reports a clean run. It does so
+/// alone and next to a tracer: observers fan out, so the tracer neither
+/// blinds the checker nor moves a fingerprint.
 #[test]
 fn checker_is_invisible_to_the_goldens() {
     for (run, golden, what) in [
@@ -409,9 +382,18 @@ fn checker_is_invisible_to_the_goldens() {
             "checked 2-node chaos workload",
         ),
     ] {
-        let check = Checker::new(2);
-        assert_matches_golden(&run(Some(check.clone()), None), golden, what);
-        check.assert_clean();
+        for trace in [None, Some(Tracer::new(2))] {
+            let check = Checker::new(2);
+            assert_matches_golden(&run(Some(check.clone()), trace.clone()), golden, what);
+            check.assert_clean();
+            assert!(
+                !check.deliveries().is_empty(),
+                "{what}: checker saw no wire traffic"
+            );
+            if let Some(trace) = trace {
+                assert!(!trace.flows().is_empty(), "{what}: tracer saw no flows");
+            }
+        }
     }
 }
 

@@ -494,7 +494,7 @@ fn spawned_threads_serial_vs_parallel_identical() {
     assert_shards_conserve(&par, "parallel spawn_thread workload");
 }
 
-/// `parallel(true)` plus an installed wire observer must silently fall
+/// `parallel(true)` plus a non-empty wire observer list must silently fall
 /// back to the serial runner: the golden still holds and the checker —
 /// which requires a single serialized wire view — reports a clean run.
 #[test]
